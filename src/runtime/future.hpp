@@ -142,6 +142,8 @@ class FutCell {
                 s, reinterpret_cast<std::uintptr_t>(&node) | (s & kBlocked),
                 std::memory_order_acq_rel, std::memory_order_acquire)) {
           PWF_RT_RECORD(kPark, c);
+          if (Scheduler* sched = Scheduler::current())
+            sched->note_parked_touch();
           return true;  // parked; the writer will repost us
         }
       }

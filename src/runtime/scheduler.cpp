@@ -26,6 +26,7 @@ Scheduler::Stats Scheduler::stats() const {
   Stats s;
   s.resumed = resumed_.load(std::memory_order_relaxed);
   s.steals = steals_.load(std::memory_order_relaxed);
+  s.parked_touches = parked_touches_.load(std::memory_order_relaxed);
   s.injected = injected_.load(std::memory_order_relaxed);
   s.inject_overflows = inject_overflows_.load(std::memory_order_relaxed);
   s.inject_overflow_batches =

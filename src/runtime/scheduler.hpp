@@ -62,12 +62,13 @@ class Scheduler {
   struct Stats {
     std::uint64_t resumed = 0;           // coroutine resumptions executed
     std::uint64_t steals = 0;            // successful steals
+    std::uint64_t parked_touches = 0;    // touches that parked on a FutCell
     std::uint64_t injected = 0;          // posts from non-worker threads
     std::uint64_t inject_overflows = 0;  // posts that missed the ring
     std::uint64_t inject_overflow_batches = 0;  // one-lock overflow drains
     std::uint64_t serial_cutoffs = 0;    // substrate serial-path activations
     std::uint64_t leaf_ops = 0;          // leaf-chunk fast-path activations
-    std::uint64_t aug_ops = 0;           // aggregate recomputation fibers
+    std::uint64_t aug_ops = 0;           // aggregate recomputations
     std::uint64_t rebalances = 0;        // shard split/join ops launched
     std::uint64_t wakeups = 0;           // park_cv_ signals issued by post()
     std::uint64_t io_parks = 0;          // fibers parked on an fd or timer
@@ -91,10 +92,18 @@ class Scheduler {
     leaf_ops_.fetch_add(1, std::memory_order_relaxed);
   }
 
-  // Called by RtExec when an aug_into fiber recomputes a node's aggregate
-  // (docs/augmentation.md) — the augmentation-overhead column of E25.
+  // Called by RtExec when a node's aggregate is recomputed, by an aug_into
+  // fiber or in place on a serial path (docs/augmentation.md) — the
+  // augmentation-overhead column of E25.
   void note_aug_op() {
     aug_ops_.fetch_add(1, std::memory_order_relaxed);
+  }
+
+  // Called by a FutCell awaiter whose touch found the cell unwritten and
+  // parked the fiber in it. Steals plus parked touches are the
+  // "deviations" Herlihy & Liu bound cache overhead by (docs/runtime.md).
+  void note_parked_touch() {
+    parked_touches_.fetch_add(1, std::memory_order_relaxed);
   }
 
   // Called by the rt split/join drivers when the adaptive sharded facades
@@ -159,6 +168,7 @@ class Scheduler {
   // Monitoring counters (relaxed).
   std::atomic<std::uint64_t> resumed_{0};
   std::atomic<std::uint64_t> steals_{0};
+  std::atomic<std::uint64_t> parked_touches_{0};
   std::atomic<std::uint64_t> injected_{0};
   std::atomic<std::uint64_t> inject_overflows_{0};
   std::atomic<std::uint64_t> inject_overflow_batches_{0};

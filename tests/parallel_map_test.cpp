@@ -6,8 +6,10 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <iterator>
 #include <limits>
 #include <map>
+#include <span>
 #include <thread>
 #include <vector>
 
@@ -454,6 +456,54 @@ TEST(ParallelMapConcurrent, SnapshotReadersRaceWritersAndCompaction) {
   EXPECT_EQ(m.items(), std::vector<Item>(ref.begin(), ref.end()));
   EXPECT_EQ(m.aggregate(0, 1 << 20),
             fold_range(ref, 0, 1 << 20));
+}
+
+// The augmented map's serial path computes each rebuilt node's aggregate in
+// place when its children's aggregates are written (as they all are after
+// flush()), so a 64-key upsert or erase into a 2^16-key map is one serial
+// cutoff with no aggregate fibers, no per-level forks and no parked touch.
+TEST(ParallelMapGranularity, SmallAugBatchIntoLargeMapTakesOneSerialCutoff) {
+  Scheduler sched(2);
+  ParallelMap<std::int64_t, SumAug> m(sched);
+  Rng rng(41);
+  std::map<map::Key, std::int64_t> ref;
+  while (ref.size() < (std::size_t{1} << 16))
+    ref.emplace(rng.range(0, std::int64_t{1} << 30), 1);
+  m.assign_batch(std::vector<Item>(ref.begin(), ref.end()));
+  m.flush();
+  const auto add = [](std::int64_t a, std::int64_t b) { return a + b; };
+  std::vector<Item> ups;
+  std::vector<map::Key> del;
+  for (int i = 0; i < 64; ++i) {
+    auto it = ref.begin();
+    std::advance(it, static_cast<long>(rng.below(ref.size())));
+    ups.emplace_back(i % 2 ? it->first : rng.range(0, std::int64_t{1} << 30),
+                     2);
+    del.push_back(std::next(ref.begin(),
+                            static_cast<long>(rng.below(ref.size())))
+                      ->first);
+  }
+  const auto gate = [&](const char* what, auto&& batch_call) {
+    const Scheduler::Stats before = sched.stats();
+    batch_call();
+    m.flush();
+    const Scheduler::Stats after = sched.stats();
+    EXPECT_EQ(after.serial_cutoffs - before.serial_cutoffs, 1u) << what;
+    EXPECT_LE(static_cast<double>(after.resumed - before.resumed) / 64.0,
+              0.1)
+        << what;
+    EXPECT_EQ(after.parked_touches - before.parked_touches, 0u) << what;
+  };
+  gate("upsert", [&] { m.insert_batch(std::span<const Item>(ups), add); });
+  for (const auto& [k, v] : ups) ref[k] += v;
+  gate("erase", [&] { m.erase_batch(del); });
+  for (const map::Key k : del) ref.erase(k);
+  EXPECT_EQ(m.items(), std::vector<Item>(ref.begin(), ref.end()));
+  std::int64_t sum = 0;
+  for (const auto& [k, v] : ref) sum += v;
+  EXPECT_EQ(m.aggregate(std::numeric_limits<map::Key>::min(),
+                        std::numeric_limits<map::Key>::max()),
+            sum);
 }
 
 }  // namespace

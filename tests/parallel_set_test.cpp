@@ -436,5 +436,108 @@ TEST_P(ShardedSetSweep, ExtremeAndBoundaryKeysRouteCorrectly) {
 
 INSTANTIATE_TEST_SUITE_P(Shards, ShardedSetSweep, ::testing::Values(1, 3, 8));
 
+// ---- granularity: the serial cutoff on small batches into a large set ------
+
+std::vector<std::int64_t> distinct_keys(std::size_t n, std::uint64_t seed) {
+  Rng rng(seed);
+  std::set<std::int64_t> s;
+  while (s.size() < n) s.insert(rng.range(0, std::int64_t{1} << 30));
+  return {s.begin(), s.end()};
+}
+
+// After flush() every cell of the set is written, so a 64-key batch into a
+// 2^16-key set passes the availability test at the top: one serial cutoff,
+// no fork per level. Only the batch's own fiber is ever resumed, and no
+// touch parks. Deterministic: the test reads no cell that is still being
+// written.
+TEST(ParallelSetGranularity, SmallBatchIntoLargeSetTakesOneSerialCutoff) {
+  Scheduler sched(2);
+  const auto base = distinct_keys(std::size_t{1} << 16, 31);
+  ParallelSet set(sched, base);
+  set.flush();
+  std::set<std::int64_t> ref(base.begin(), base.end());
+  Rng rng(32);
+  std::vector<std::int64_t> ins, del;
+  for (int i = 0; i < 64; ++i) {
+    ins.push_back(rng.range(0, std::int64_t{1} << 30));
+    del.push_back(base[rng.below(base.size())]);
+  }
+  const auto gate = [&](const char* what, auto&& batch_call) {
+    const Scheduler::Stats before = sched.stats();
+    batch_call();
+    set.flush();
+    const Scheduler::Stats after = sched.stats();
+    EXPECT_EQ(after.serial_cutoffs - before.serial_cutoffs, 1u) << what;
+    EXPECT_LE(static_cast<double>(after.resumed - before.resumed) / 64.0,
+              0.1)
+        << what;
+    EXPECT_EQ(after.parked_touches - before.parked_touches, 0u) << what;
+    EXPECT_GT(after.leaf_ops - before.leaf_ops, 0u)
+        << what << ": leaf ops inside the cutoff reach the scheduler";
+  };
+  gate("insert", [&] { set.insert_batch(ins); });
+  ref.insert(ins.begin(), ins.end());
+  gate("erase", [&] { set.erase_batch(del); });
+  for (const std::int64_t k : del) ref.erase(k);
+  EXPECT_EQ(set.keys(), std::vector<std::int64_t>(ref.begin(), ref.end()));
+}
+
+// Batches chained onto a root that is still materializing: wherever a cell
+// the serial body would read is unwritten the body forks as before, so the
+// result must match the oracle whichever path each level took.
+TEST(ParallelSetGranularity, BatchesChainedOntoUnflushedRootMatchOracle) {
+  Scheduler sched(2);
+  const auto base = distinct_keys(std::size_t{1} << 14, 33);
+  ParallelSet set(sched, base);
+  std::set<std::int64_t> ref(base.begin(), base.end());
+  Rng rng(34);
+  for (int b = 0; b < 48; ++b) {
+    std::vector<std::int64_t> batch;
+    const std::size_t m = 16 + rng.below(240);
+    for (std::size_t i = 0; i < m; ++i)
+      batch.push_back(b % 3 == 2 ? base[rng.below(base.size())]
+                                 : rng.range(0, std::int64_t{1} << 30));
+    if (b % 3 == 2) {
+      set.erase_batch(batch);
+      for (const std::int64_t k : batch) ref.erase(k);
+    } else {
+      set.insert_batch(batch);
+      ref.insert(batch.begin(), batch.end());
+    }
+  }
+  EXPECT_GT(set.stats().overlapped, 0u);
+  EXPECT_EQ(set.keys(), std::vector<std::int64_t>(ref.begin(), ref.end()));
+  EXPECT_EQ(set.size(), ref.size());
+}
+
+// The fallback made deterministic: one child cell of the large operand's
+// root stays unwritten while a small batch spanning both sides is unioned
+// in. The side whose paths are written goes serial; the other forks and
+// parks on the cell until the test writes it.
+TEST(ParallelSetGranularity, UnwrittenPathCellFallsBackToThePipelinedFork) {
+  Scheduler sched(2);
+  treap::Store st;
+  const auto base = distinct_keys(4096, 35);
+  treap::Node* full = st.build(base);
+  ASSERT_FALSE(pipelined::treap::is_leaf(full));
+  treap::Cell* pending = st.cell();
+  treap::Node* root = st.make(full->key, full->pri, full->left, pending);
+  std::vector<std::int64_t> batch;
+  for (std::size_t i = 0; i < 32; ++i) batch.push_back(base[i * 128] + 1);
+  std::set<std::int64_t> ref(base.begin(), base.end());
+  ref.insert(batch.begin(), batch.end());
+
+  const Scheduler::Stats before = sched.stats();
+  treap::Cell* out =
+      treap::union_treaps(st, st.input(root), st.input(st.build(batch)));
+  while (sched.stats().parked_touches == before.parked_touches)
+    std::this_thread::yield();
+  pending->write(full->right->peek());
+  EXPECT_EQ(treap::wait_inorder(out),
+            std::vector<std::int64_t>(ref.begin(), ref.end()));
+  EXPECT_TRUE(treap::validate(st, out));
+  EXPECT_GT(sched.stats().serial_cutoffs, before.serial_cutoffs);
+}
+
 }  // namespace
 }  // namespace pwf::rt
